@@ -204,19 +204,23 @@ class QuerySet {
     return -1;
   }
 
+  // Calls f(id) for every query in the set, ascending, without
+  // allocating (the per-tuple form of ToIds).
+  template <typename F>
+  void ForEach(F&& f) const {
+    for (uint64_t b = low_; b != 0; b &= b - 1) f(std::countr_zero(b));
+    for (size_t i = 0; i < spill_.size(); ++i) {
+      const QueryId base = static_cast<QueryId>(64 * (i + 1));
+      for (uint64_t b = spill_[i]; b != 0; b &= b - 1) {
+        f(base + std::countr_zero(b));
+      }
+    }
+  }
+
   std::vector<QueryId> ToIds() const {
     std::vector<QueryId> ids;
     ids.reserve(static_cast<size_t>(size()));
-    auto drain = [&ids](uint64_t b, QueryId base) {
-      while (b != 0) {
-        ids.push_back(base + std::countr_zero(b));
-        b &= b - 1;
-      }
-    };
-    drain(low_, 0);
-    for (size_t i = 0; i < spill_.size(); ++i) {
-      drain(spill_[i], static_cast<QueryId>(64 * (i + 1)));
-    }
+    ForEach([&ids](QueryId q) { ids.push_back(q); });
     return ids;
   }
 

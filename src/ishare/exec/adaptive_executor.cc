@@ -47,7 +47,8 @@ AdaptiveExecutor::AdaptiveExecutor(CostEstimator* estimator,
   slack_.resize(constraints_.size(), 0.0);
   subplan_slack_.resize(n, 0.0);
   sheddable_.resize(n, false);
-  for (int i : graph_->TopoChildrenFirst()) {
+  topo_ = graph_->TopoChildrenFirst();
+  for (int i : topo_) {
     const Subplan& sp = graph_->subplan(i);
     buffers_[i] = std::make_unique<DeltaBuffer>(
         sp.root->output_schema, "subplan_" + std::to_string(i));
@@ -285,14 +286,13 @@ Status AdaptiveExecutor::RunLevelsParallel(const Fraction& f, int64_t step,
       if (!statuses[s].ok()) failed = true;
     }
     if (failed) {
-      for (int s : graph_->TopoChildrenFirst()) {
-        ISHARE_RETURN_NOT_OK(statuses[s]);
-      }
+      for (int s : topo_) ISHARE_RETURN_NOT_OK(statuses[s]);
     }
+    obs::Registry().GetCounter("sched.step.waves").Add(1);
     if (after_wave_) ISHARE_RETURN_NOT_OK(after_wave_(step, wave));
     ++wave;
   }
-  for (int s : graph_->TopoChildrenFirst()) {
+  for (int s : topo_) {
     if (!ran[s]) continue;
     const ExecRecord& rec = records[s];
     executors_[s]->PublishExecMetrics(rec);
@@ -327,7 +327,6 @@ Status AdaptiveExecutor::RunLevelsParallel(const Fraction& f, int64_t step,
 }
 
 Status AdaptiveExecutor::StepOnce() {
-  std::vector<int> topo = graph_->TopoChildrenFirst();
   AdaptiveRunResult& out = ws_.out;
 
   Fraction f = *ws_.points.begin();
@@ -368,7 +367,7 @@ Status AdaptiveExecutor::StepOnce() {
   if (pool_ != nullptr) {
     ISHARE_RETURN_NOT_OK(RunLevelsParallel(f, step, is_trigger, overloaded));
   } else {
-    for (int s : topo) {
+    for (int s : topo_) {
       bool scheduled = f.IsStepOf(paces_[s]);
       bool skip = scheduled && !is_trigger && overloaded && !protective_[s];
       bool catchup = false;

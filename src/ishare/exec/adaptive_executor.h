@@ -265,6 +265,7 @@ class AdaptiveExecutor : public recovery::Checkpointable {
                       bool include_timings) const;
 
   const SubplanGraph* graph_;
+  std::vector<int> topo_;  // graph_->TopoChildrenFirst(), computed once
   StreamSource* source_;
   CostEstimator* estimator_;
   std::vector<double> constraints_;

@@ -308,26 +308,44 @@ void HashJoinOp::UpdateState(SideState* state, const Row& key,
 
 void HashJoinOp::EmitMatches(const DeltaTuple& t, const Entry& e,
                              bool t_is_left, OpWork* work, DeltaBatch* out) {
-  // Group queries by the contribution weight t.weight * e.counts[q] so the
-  // common case (uniform multiplicities) emits a single delta tuple.
-  std::map<int64_t, QuerySet> by_weight;
-  for (QueryId q : t.qset.ToIds()) {
+  // Each query contributes weight t.weight * e.counts[q]. In the common
+  // case every non-zero contribution is equal and one delta tuple carries
+  // them all, built without a grouping map; mixed weights group the
+  // queries per weight and emit one tuple per distinct weight, ascending.
+  QuerySet live;
+  int64_t first_w = 0;
+  bool uniform = true;
+  t.qset.ForEach([&](QueryId q) {
     int64_t w = static_cast<int64_t>(t.weight) * e.counts[QueryPos(q)];
-    if (w == 0) continue;
-    by_weight[w].Add(q);
-  }
-  if (by_weight.empty()) return;
+    if (w == 0) return;
+    if (first_w == 0) {
+      first_w = w;
+    } else if (w != first_w) {
+      uniform = false;
+    }
+    live.Add(q);
+  });
+  if (live.empty()) return;
+  const Row& left = t_is_left ? t.row : e.row;
+  const Row& right = t_is_left ? e.row : t.row;
   Row joined;
-  joined.reserve(t.row.size() + e.row.size());
-  if (t_is_left) {
-    joined = t.row;
-    joined.insert(joined.end(), e.row.begin(), e.row.end());
-  } else {
-    joined = e.row;
-    joined.insert(joined.end(), t.row.begin(), t.row.end());
+  joined.reserve(left.size() + right.size());
+  joined.insert(joined.end(), left.begin(), left.end());
+  joined.insert(joined.end(), right.begin(), right.end());
+  if (uniform) {
+    out->emplace_back(std::move(joined), std::move(live),
+                      static_cast<int32_t>(first_w));
+    work->out += 1;
+    return;
   }
-  for (const auto& [w, qset] : by_weight) {
-    out->emplace_back(joined, qset, static_cast<int32_t>(w));
+  std::map<int64_t, QuerySet> by_weight;
+  live.ForEach([&](QueryId q) {
+    by_weight[static_cast<int64_t>(t.weight) * e.counts[QueryPos(q)]].Add(q);
+  });
+  for (auto it = by_weight.begin(); it != by_weight.end(); ++it) {
+    const bool last = std::next(it) == by_weight.end();
+    out->emplace_back(last ? std::move(joined) : joined, it->second,
+                      static_cast<int32_t>(it->first));
     work->out += 1;
   }
 }
@@ -494,12 +512,12 @@ DeltaBatch HashJoinOp::ProcessSemiAnti(int child_idx, DeltaSpan in) {
       UpdateState(&left_state_, key, t, &left_entries_);
       auto it = right_counts_.find(key);
       QuerySet pass;
-      for (QueryId q : t.qset.ToIds()) {
+      t.qset.ForEach([&](QueryId q) {
         int64_t cnt =
             (it == right_counts_.end()) ? 0 : it->second[QueryPos(q)];
         bool matched = cnt > 0;
         if (matched == semi) pass.Add(q);
-      }
+      });
       work_.state += 1;
       if (pass.empty()) continue;
       out.emplace_back(t.row, pass, t.weight);
@@ -517,14 +535,14 @@ DeltaBatch HashJoinOp::ProcessSemiAnti(int child_idx, DeltaSpan in) {
     if (counts.empty()) counts.assign(query_ids_.size(), 0);
     QuerySet became_matched;
     QuerySet became_unmatched;
-    for (QueryId q : t.qset.ToIds()) {
+    t.qset.ForEach([&](QueryId q) {
       int pos = QueryPos(q);
       int64_t before = counts[pos];
       counts[pos] += t.weight;
       CHECK_GE(counts[pos], 0) << "negative right match count";
       if (before == 0 && counts[pos] > 0) became_matched.Add(q);
       if (before > 0 && counts[pos] == 0) became_unmatched.Add(q);
-    }
+    });
     work_.state += 1;
     if (became_matched.empty() && became_unmatched.empty()) continue;
 
@@ -539,14 +557,14 @@ DeltaBatch HashJoinOp::ProcessSemiAnti(int child_idx, DeltaSpan in) {
       // Group affected queries by their stored multiplicity.
       std::map<int64_t, QuerySet> plus_by_w;
       std::map<int64_t, QuerySet> minus_by_w;
-      for (QueryId q : emit_plus.ToIds()) {
+      emit_plus.ForEach([&](QueryId q) {
         int64_t c = e.counts[QueryPos(q)];
         if (c != 0) plus_by_w[c].Add(q);
-      }
-      for (QueryId q : emit_minus.ToIds()) {
+      });
+      emit_minus.ForEach([&](QueryId q) {
         int64_t c = e.counts[QueryPos(q)];
         if (c != 0) minus_by_w[c].Add(q);
-      }
+      });
       for (const auto& [w, qset] : plus_by_w) {
         out.emplace_back(e.row, qset, static_cast<int32_t>(w));
         work_.out += 1;

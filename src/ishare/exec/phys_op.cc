@@ -30,11 +30,12 @@ SelectionVector CompactSelection(const ColumnBatch& b) {
 // Row shim: any operator can be driven columnar through its row
 // implementation. The pump never takes this path (SupportsColumnar
 // defaults to false); it exists so the contract "ProcessColumnar ==
-// convert ∘ Process ∘ convert" is executable in tests.
+// convert ∘ Process ∘ convert" is executable in tests. The output rows
+// are a temporary, so the output batch owns them (DESIGN.md §12.4).
 void PhysOp::ProcessColumnar(int child_idx, ColumnBatch in, ColumnBatch* out) {
-  DeltaBatch rows = in.ToDeltas();
+  DeltaBatch rows = std::move(in).ToDeltas();
   DeltaBatch orows = Process(child_idx, rows);
-  CHECK(ColumnBatch::FromDeltas(node_->output_schema, orows, out))
+  CHECK(ColumnBatch::Own(node_->output_schema, std::move(orows), out))
       << "row shim: operator output does not conform to its declared schema";
 }
 
@@ -156,6 +157,7 @@ void FilterOp::ProcessColumnar(int child_idx, ColumnBatch in,
   uint64_t* q = in.qbits.data();
   std::vector<uint8_t> mask;
   for (const PredGroup& g : groups_) {
+    in.Lift(g.vpred.columns());
     g.vpred.EvalBoolMask(in.cols, n, &mask);
     const uint64_t gbits = g.queries.bits();
     const uint8_t* m = mask.data();
@@ -207,16 +209,20 @@ void ProjectOp::ProcessColumnar(int child_idx, ColumnBatch in,
   const int64_t n = in.num_rows();
   const double n_sel = static_cast<double>(in.num_selected());
   work_.in += n_sel;
-  out->cols.clear();
-  out->cols.reserve(vexprs_.size());
+  // New columns make a new batch: it has no source rows, so it lowers
+  // from these columns (DESIGN.md §12.4).
+  ColumnBatch res;
+  res.cols.reserve(vexprs_.size());
   for (const VectorExpr& v : vexprs_) {
+    in.Lift(v.columns());
     ColumnVector c;
     v.Eval(in.cols, n, &c);
-    out->cols.push_back(std::move(c));
+    res.cols.push_back(std::move(c));
   }
-  out->qbits = std::move(in.qbits);
-  out->weights = std::move(in.weights);
-  out->sel = std::move(in.sel);
+  res.qbits = std::move(in.qbits);
+  res.weights = std::move(in.weights);
+  res.sel = std::move(in.sel);
+  *out = std::move(res);
   work_.out += n_sel;
 }
 

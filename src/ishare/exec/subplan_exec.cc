@@ -136,12 +136,13 @@ Result<DeltaBatch> SubplanExecutor::Pump(OpNode& n, int64_t* tuples_in,
 
 // Columnar twin of Pump (DESIGN.md §12.6): identical traversal and
 // identical operator semantics, but batches stay in column layout across
-// every SupportsColumnar operator. Conversions happen only at the edges —
-// leaf deltas lift to columns once, and results lower back to rows at the
-// first operator that needs them (or at the subplan root). Any lift that
-// fails (ill-typed source rows) degrades that batch to the row path; the
-// two paths are interchangeable per batch because both compute the same
-// deltas in the same order.
+// every SupportsColumnar operator. Conversions happen only at the edges,
+// and lazily: a leaf batch borrows the buffer's zero-copy span and a
+// row-fed batch owns its rows, each lifting only the columns its kernels
+// read; results lower back to rows at the first operator that needs them
+// (or at the subplan root). Any lift that fails (ill-typed source rows)
+// degrades that batch to the row path; the two paths are interchangeable
+// per batch because both compute the same deltas in the same order.
 Result<SubplanExecutor::PumpBatch> SubplanExecutor::PumpColumnar(
     OpNode& n, int64_t* tuples_in, ExecRecord* rec) {
   PumpBatch result;
@@ -150,10 +151,12 @@ Result<SubplanExecutor::PumpBatch> SubplanExecutor::PumpColumnar(
     if (raw.empty()) return result;
     *tuples_in += static_cast<int64_t>(raw.size());
     // Leaf operators are pass-through on the row payload, so their input
-    // schema is their own output schema.
+    // schema is their own output schema. The span stays valid for the
+    // whole execution: nothing appends to, trims or resets an input
+    // buffer while one of its consumers executes (DESIGN.md §12.4).
     ColumnBatch cb;
     if (n.op->SupportsColumnar(0) &&
-        ColumnBatch::FromDeltas(n.op->node()->output_schema, raw, &cb)) {
+        ColumnBatch::Borrow(n.op->node()->output_schema, raw, &cb)) {
       rec->columnar_batches += 1;
       rec->columnar_tuples += cb.num_selected();
       result.columnar = true;
@@ -176,8 +179,9 @@ Result<SubplanExecutor::PumpBatch> SubplanExecutor::PumpColumnar(
         cb = std::move(b.cols);
         lifted = true;
       } else {
-        lifted = ColumnBatch::FromDeltas(
-            n.children[i].op->node()->output_schema, b.rows, &cb);
+        // The child's rows are a temporary: the batch takes them over.
+        lifted = ColumnBatch::Own(n.children[i].op->node()->output_schema,
+                                  std::move(b.rows), &cb);
       }
       if (lifted) {
         rec->columnar_batches += 1;
@@ -191,7 +195,7 @@ Result<SubplanExecutor::PumpBatch> SubplanExecutor::PumpColumnar(
           result.columnar = true;
         } else {
           result.LowerToRows();
-          DeltaBatch o = ob.ToDeltas();
+          DeltaBatch o = std::move(ob).ToDeltas();
           result.rows.insert(result.rows.end(),
                              std::make_move_iterator(o.begin()),
                              std::make_move_iterator(o.end()));
@@ -336,20 +340,22 @@ Result<ExecRecord> SubplanExecutor::ExecuteOnce() {
   } else {
     ISHARE_ASSIGN_OR_RETURN(out, Pump(root_, &tuples_in, &path_rec));
   }
-  output_->AppendBatch(out);
+  int64_t out_bytes = 0;
+  for (const DeltaTuple& t : out) out_bytes += ApproxDeltaBytes(t);
+  const int64_t tuples_out = static_cast<int64_t>(out.size());
+  output_->AppendBatch(std::move(out));
   auto end = std::chrono::steady_clock::now();
 
   ++executions_;
   last_input_consumed_ = tuples_in;
-  last_output_bytes_ = 0;
-  for (const DeltaTuple& t : out) last_output_bytes_ += ApproxDeltaBytes(t);
+  last_output_bytes_ = out_bytes;
   PublishStateBytes();
   double total = TotalOpWork(root_);
   ExecRecord rec;
   rec.work = (total - last_total_work_) + opts_.startup_cost;
   rec.seconds = std::chrono::duration<double>(end - start).count();
   rec.tuples_in = tuples_in;
-  rec.tuples_out = static_cast<int64_t>(out.size());
+  rec.tuples_out = tuples_out;
   rec.columnar_batches = path_rec.columnar_batches;
   rec.columnar_tuples = path_rec.columnar_tuples;
   rec.row_batches = path_rec.row_batches;

@@ -167,13 +167,13 @@ class SubplanExecutor {
       return columnar ? cols.num_selected() == 0 : rows.empty();
     }
     DeltaBatch TakeRows() {
-      return columnar ? cols.ToDeltas() : std::move(rows);
+      return columnar ? std::move(cols).ToDeltas() : std::move(rows);
     }
     // Demotes a columnar accumulation to row layout in place (appending
     // row output to columns is a layout mix the pump never keeps).
     void LowerToRows() {
       if (!columnar) return;
-      rows = cols.ToDeltas();
+      rows = std::move(cols).ToDeltas();
       cols = ColumnBatch{};
       columnar = false;
     }

@@ -1,5 +1,7 @@
 #include "ishare/expr/vector_expr.h"
 
+#include <algorithm>
+
 namespace ishare {
 
 namespace {
@@ -49,7 +51,18 @@ void Truthiness(const ColumnVector& c, int64_t n, std::vector<uint8_t>* mask) {
 VectorExpr VectorExpr::Compile(const ExprPtr& expr, const Schema& input) {
   VectorExpr ve;
   ve.supported_ = CompileNode(expr, input, &ve.root_);
+  if (ve.supported_) {
+    CollectColumns(ve.root_, &ve.columns_);
+    std::sort(ve.columns_.begin(), ve.columns_.end());
+    ve.columns_.erase(std::unique(ve.columns_.begin(), ve.columns_.end()),
+                      ve.columns_.end());
+  }
   return ve;
+}
+
+void VectorExpr::CollectColumns(const Node& n, std::vector<int>* out) {
+  if (n.kind == ExprKind::kColumn) out->push_back(n.column_index);
+  for (const Node& c : n.children) CollectColumns(c, out);
 }
 
 bool VectorExpr::CompileNode(const ExprPtr& expr, const Schema& input,

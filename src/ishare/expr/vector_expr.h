@@ -38,6 +38,10 @@ class VectorExpr {
   // Static result type (matches Expr::OutputType on supported exprs).
   DataType output_type() const { return root_.out_type; }
 
+  // Input column indices the expression reads, ascending and distinct:
+  // the columns a caller must ColumnBatch::Lift before Eval.
+  const std::vector<int>& columns() const { return columns_; }
+
   // Evaluates over rows [0, num_rows) of `cols`, writing the result
   // column into *out. Requires supported().
   void Eval(const std::vector<ColumnVector>& cols, int64_t num_rows,
@@ -69,6 +73,7 @@ class VectorExpr {
   };
 
   static bool CompileNode(const ExprPtr& expr, const Schema& input, Node* out);
+  static void CollectColumns(const Node& n, std::vector<int>* out);
 
   // Evaluates `n` into a column of length num_rows. Returns a pointer to
   // an input column when the node is a plain reference, otherwise fills
@@ -78,6 +83,7 @@ class VectorExpr {
                                       int64_t num_rows, ColumnVector* scratch);
 
   Node root_;
+  std::vector<int> columns_;
   bool supported_ = false;
 };
 

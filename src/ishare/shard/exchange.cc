@@ -307,7 +307,13 @@ Status ExchangeFabric::DrainCanonical(const std::string& table, int shard,
 }
 
 void ExchangeFabric::ResetDelivery() {
-  for (auto& clock : clocks_) clock->Reset();
+  // A reset clock forgets its consumers: register the fabric's again.
+  for (size_t p = 0; p < clocks_.size(); ++p) {
+    clocks_[p]->Reset();
+    for (auto& [name, consumer] : clock_consumers_[p]) {
+      consumer = clocks_[p]->buffer(name)->RegisterConsumer();
+    }
+  }
   for (auto& [name, t] : tables_) {
     for (ShardLane& lane : t.lanes) {
       lane.pending.clear();
@@ -393,7 +399,7 @@ Status ExchangeShardSource::DoAdvance(double fraction,
         << "shard " << shard_ << " base log of '" << name
         << "' out of sync with the fabric (" << buf->size() << " vs "
         << have << ")";
-    buf->AppendBatch(batch);
+    buf->AppendBatch(std::move(batch));
   }
   return Status::OK();
 }

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -101,9 +102,12 @@ class DeltaBuffer {
     PublishSize();
     PublishBytes();
   }
-  void AppendBatch(const DeltaBatch& batch) {
+  // Takes the batch by value and moves its tuples into the log: a caller
+  // that passes an rvalue (std::move or a temporary) copies no tuple.
+  void AppendBatch(DeltaBatch batch) {
     for (const DeltaTuple& t : batch) retained_bytes_ += ApproxDeltaBytes(t);
-    log_.insert(log_.end(), batch.begin(), batch.end());
+    log_.insert(log_.end(), std::make_move_iterator(batch.begin()),
+                std::make_move_iterator(batch.end()));
     PublishSize();
     PublishBytes();
   }
@@ -259,16 +263,18 @@ class DeltaBuffer {
     budget_component_ = -1;
   }
 
-  // Drops all tuples, resets every consumer offset to zero, AND disarms
-  // any injected fault: a reset buffer is fresh in every respect. (A
-  // buffer that still errored on consume after Reset() was a trap for
-  // harness reuse; tests pin the new contract.)
+  // Drops all tuples, forgets every consumer registration AND disarms
+  // any injected fault: a reset buffer is fresh in every respect, so the
+  // next executor over it registers its consumers from id 0 as on a new
+  // buffer. A registration surviving a reset would pin the trim point at
+  // 0 and be serialized into checkpoints a fresh buffer cannot restore;
+  // a fault surviving it would fail every later consume.
   void Reset() {
     log_.clear();
     base_offset_ = 0;
     retained_bytes_ = 0;
     backpressured_ = false;
-    std::fill(offsets_.begin(), offsets_.end(), 0);
+    offsets_.clear();
     ClearFault();
     PublishSize();
     PublishBytes();

@@ -106,7 +106,8 @@ class StreamSource {
 
   double current_fraction() const { return current_fraction_; }
 
-  // Rewinds the stream and clears all base buffers (consumer offsets reset).
+  // Rewinds the stream and clears all base buffers (consumer registrations
+  // dropped, see DeltaBuffer::Reset).
   // The preloaded datasets are kept, so an experiment can be re-run.
   virtual void Reset() {
     current_fraction_ = 0.0;

@@ -797,12 +797,12 @@ std::map<std::string, double> CuratedCounters() {
   return out;
 }
 
-RunOutput RunPump(TpchDb* db, const SubplanGraph& g, const PaceConfig& paces,
-                  bool columnar, int threads) {
+RunOutput RunPump(const StreamSource& source, const SubplanGraph& g,
+                  const PaceConfig& paces, bool columnar, int threads) {
   obs::Registry().Reset();
   obs::GlobalTracer().Reset();
   StreamSource src;  // fresh consumer registrations, see sched_test
-  CHECK(db->source.CloneTablesInto(&src).ok());
+  CHECK(source.CloneTablesInto(&src).ok());
   ExecOptions opts;
   opts.columnar = columnar;
   opts.sched.num_threads = threads;
@@ -839,8 +839,8 @@ TEST(ColumnarEquivalence, ColumnarPumpIsBitExactOverRandomSharedPlans) {
     // parallelism.
     int threads = (seed % 4 == 0) ? 4 : 1;
 
-    RunOutput row = RunPump(&db, g, paces, /*columnar=*/false, threads);
-    RunOutput col = RunPump(&db, g, paces, /*columnar=*/true, threads);
+    RunOutput row = RunPump(db.source, g, paces, /*columnar=*/false, threads);
+    RunOutput col = RunPump(db.source, g, paces, /*columnar=*/true, threads);
 
     EXPECT_EQ(col.fingerprint, row.fingerprint)
         << "seed " << seed << " threads " << threads;
@@ -864,17 +864,214 @@ TEST(ColumnarEquivalence, ColumnarPumpActuallyRoutesColumnarBatches) {
   SubplanGraph g = SubplanGraph::Build(mqo.Merge(qs));
   PaceConfig paces(g.num_subplans(), 1);
 
-  RunPump(&db, g, paces, /*columnar=*/true, 1);
+  RunPump(db.source, g, paces, /*columnar=*/true, 1);
   auto snap = obs::Registry().Snapshot().counters;
   EXPECT_GT(snap["exec.path.columnar_batches"], 0.0);
   EXPECT_GT(snap["exec.path.columnar_tuples"], 0.0);
 
-  RunPump(&db, g, paces, /*columnar=*/false, 1);
+  RunPump(db.source, g, paces, /*columnar=*/false, 1);
   snap = obs::Registry().Snapshot().counters;
   // The executor registers the counter either way; the row pump must
   // never increment it.
   EXPECT_EQ(snap["exec.path.columnar_batches"], 0.0);
   EXPECT_GT(snap["exec.path.row_batches"], 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Lazy lift (DESIGN.md §12.4): borrowed and owned source rows
+// ---------------------------------------------------------------------------
+
+// Every lineitem row of a small TPC-H dataset, released into its base
+// buffer: the rows a leaf batch borrows in the pump.
+class LineitemRows : public ::testing::Test {
+ protected:
+  LineitemRows() : db_(TpchScale{0.001, 29}) {
+    CHECK(db_.source.CloneTablesInto(&src_).ok());
+    CHECK(src_.AdvanceTo(1.0).ok());
+    scan_ = PlanNode::MakeScan(db_.catalog, "lineitem", QuerySet(0b11));
+  }
+  const DeltaBatch& rows() const { return src_.buffer("lineitem")->log(); }
+  const Schema& schema() const { return scan_->output_schema; }
+
+  // Scans `rows()` columnar (a borrowed leaf batch, re-tagged for both
+  // queries) and, into *row_out, through the row path.
+  ColumnBatch ScanBoth(DeltaBatch* row_out) {
+    ScanOp row_op(scan_.get()), col_op(scan_.get());
+    *row_out = row_op.Process(0, rows());
+    ColumnBatch cb, out;
+    CHECK(ColumnBatch::Borrow(schema(), rows(), &cb));
+    col_op.ProcessColumnar(0, std::move(cb), &out);
+    return out;
+  }
+
+  TpchDb db_;
+  StreamSource src_;
+  PlanNodePtr scan_;
+};
+
+TEST_F(LineitemRows, OneColumnFilterLiftsExactlyOneColumn) {
+  std::map<QueryId, ExprPtr> preds;
+  preds[0] = Lt(Col("l_quantity"), Lit(24.0));
+  preds[1] = Gt(Col("l_quantity"), Lit(40.0));
+  PlanNodePtr node = PlanNode::MakeFilter(scan_, std::move(preds),
+                                          QuerySet(0b11));
+  FilterOp row_op(node.get(), schema()), col_op(node.get(), schema());
+  ASSERT_TRUE(col_op.SupportsColumnar(0));
+  DeltaBatch scanned;
+  ColumnBatch in = ScanBoth(&scanned);
+  ColumnBatch out;
+  col_op.ProcessColumnar(0, std::move(in), &out);
+  const int quantity = schema().IndexOf("l_quantity");
+  for (int c = 0; c < schema().num_fields(); ++c) {
+    EXPECT_EQ(out.lifted(c), c == quantity) << schema().field(c).name;
+  }
+  EXPECT_EQ(out.cols[static_cast<size_t>(quantity)].size(),
+            static_cast<int64_t>(rows().size()));
+  DeltaBatch row_out = row_op.Process(0, scanned);
+  ASSERT_GT(row_out.size(), 0u);
+  ASSERT_LT(row_out.size(), rows().size());
+  EXPECT_TRUE(BitExactDeltas(out.ToDeltas(), row_out));
+}
+
+TEST_F(LineitemRows, PassThroughLowerIsBitExactWithSourceTuples) {
+  DeltaBatch scanned;
+  ColumnBatch b = ScanBoth(&scanned);
+  for (int c = 0; c < schema().num_fields(); ++c) EXPECT_FALSE(b.lifted(c));
+  ASSERT_EQ(schema().field(schema().IndexOf("l_shipinstruct")).type,
+            DataType::kString);
+  // The lower copies the source rows, string columns included, under the
+  // batch's own query bits and weights.
+  DeltaBatch lowered = b.ToDeltas();
+  ASSERT_EQ(lowered.size(), rows().size());
+  EXPECT_TRUE(BitExactDeltas(lowered, scanned));
+  for (size_t i = 0; i < rows().size(); ++i) {
+    ASSERT_EQ(lowered[i].row, rows()[i].row) << "row " << i;
+  }
+  // Lifting every column changes nothing: the column rebuild of an eager
+  // batch gives the same deltas.
+  for (int c = 0; c < schema().num_fields(); ++c) b.Lift(c);
+  EXPECT_TRUE(BitExactDeltas(b.ToDeltas(), scanned));
+  ColumnBatch eager;
+  ASSERT_TRUE(ColumnBatch::FromDeltas(schema(), scanned, &eager));
+  EXPECT_TRUE(BitExactDeltas(eager.ToDeltas(), scanned));
+}
+
+TEST(LazyLiftTest, OwnedBatchesOutliveTheirTemporaries) {
+  TestDb db;
+  const Schema& schema = db.catalog.GetSchema("orders");
+  DeltaBatch expect = OrdersDeltas(80, 41);
+  ColumnBatch owned;
+  {
+    DeltaBatch temp = expect;
+    ASSERT_TRUE(ColumnBatch::Own(schema, std::move(temp), &owned));
+    temp = OrdersDeltas(5, 42);  // the temporary is reused, then dies
+  }
+  ColumnBatch moved = std::move(owned);
+  ColumnBatch copy = moved;
+  copy.Lift(2);
+  ASSERT_EQ(copy.cols[2].size(), static_cast<int64_t>(expect.size()));
+  for (size_t i = 0; i < expect.size(); ++i) {
+    ASSERT_EQ(copy.cols[2].f64()[i], expect[i].row[2].AsDouble());
+  }
+  EXPECT_TRUE(BitExactDeltas(copy.ToDeltas(), expect));
+  EXPECT_TRUE(BitExactDeltas(std::move(moved).ToDeltas(), expect));
+
+  // A failed Own leaves the rows with the caller for the row path.
+  DeltaBatch bad = expect;
+  bad[3].row[2] = Value(int64_t{7});
+  ColumnBatch rejected;
+  EXPECT_FALSE(ColumnBatch::Own(schema, std::move(bad), &rejected));
+  EXPECT_EQ(bad.size(), expect.size());
+
+  // The row shim's output owns the rows its Process call returned.
+  PlanNodePtr node = SharedFilterNode(&db);
+  FilterOp row_op(node.get(), schema), shim_op(node.get(), schema);
+  DeltaBatch row_out = row_op.Process(0, expect);
+  ColumnBatch in, out;
+  ASSERT_TRUE(ColumnBatch::Borrow(schema, expect, &in));
+  shim_op.PhysOp::ProcessColumnar(0, std::move(in), &out);
+  out.Lift(0);
+  ASSERT_EQ(out.cols[0].size(), static_cast<int64_t>(row_out.size()));
+  for (size_t i = 0; i < row_out.size(); ++i) {
+    ASSERT_EQ(out.cols[0].i64()[i], row_out[i].row[0].AsInt());
+  }
+  EXPECT_TRUE(BitExactDeltas(out.ToDeltas(), row_out));
+}
+
+// Two queries sharing a filter over a join: the join emits rows, so the
+// shared filter's batch is lifted from a temporary (an owned batch).
+std::vector<QueryPlan> FilterOverJoin(const Catalog& catalog) {
+  QuerySet both(0b11);
+  PlanNodePtr join = PlanNode::MakeJoin(
+      PlanNode::MakeScan(catalog, "orders", both),
+      PlanNode::MakeScan(catalog, "customer", both), {"o_custkey"},
+      {"c_custkey"}, JoinType::kInner, both);
+  std::map<QueryId, ExprPtr> preds;
+  preds[0] = Gt(Col("o_amount"), Lit(30.0));
+  preds[1] = Lt(Col("o_amount"), Lit(80.0));
+  PlanNodePtr filt = PlanNode::MakeFilter(join, std::move(preds), both);
+  PlanNodePtr root0 = PlanNode::MakeProject(
+      filt, {{Col("o_id"), "o_id"}, {Col("c_region"), "region"}},
+      QuerySet::Single(0));
+  PlanNodePtr root1 = PlanNode::MakeProject(
+      filt, {{Col("o_id"), "o_id"}, {Col("o_amount"), "amount"}},
+      QuerySet::Single(1));
+  return {QueryPlan{0, "q0", root0}, QueryPlan{1, "q1", root1}};
+}
+
+TEST(LazyLiftTest, OwnedLiftAboveARowOperatorIsBitExact) {
+  TestDb db(/*n_orders=*/200, /*n_customers=*/12);
+  SubplanGraph g = SubplanGraph::Build(FilterOverJoin(db.catalog));
+  PaceConfig paces(g.num_subplans(), 3);
+  RunOutput row = RunPump(db.source, g, paces, /*columnar=*/false, 1);
+  RunOutput col = RunPump(db.source, g, paces, /*columnar=*/true, 1);
+  EXPECT_GT(obs::Registry().Snapshot().counters["exec.path.columnar_batches"],
+            0.0);
+  EXPECT_EQ(col.fingerprint, row.fingerprint);
+  ASSERT_EQ(col.results.size(), row.results.size());
+  for (size_t q = 0; q < row.results.size(); ++q) {
+    EXPECT_FALSE(row.results[q].empty()) << "query " << q;
+    EXPECT_TRUE(ExactSameResults(col.results[q], row.results[q]))
+        << "query " << q;
+  }
+}
+
+TEST(LazyLiftTest, IllTypedSourceDegradesToRowsWithIdenticalResults) {
+  TestDb db(/*n_orders=*/120, /*n_customers=*/12);
+  SubplanGraph g = SubplanGraph::Build(FilterOverJoin(db.catalog));
+  PaceConfig paces(g.num_subplans(), 1);
+  // The same orders, but one o_amount is an int in a float64 column: the
+  // whole-batch validation rejects the leaf lift of that batch.
+  StreamSource released;
+  ASSERT_TRUE(db.source.CloneTablesInto(&released).ok());
+  ASSERT_TRUE(released.AdvanceTo(1.0).ok());
+  auto rows_of = [&released](const std::string& table) {
+    std::vector<Row> rows;
+    for (const DeltaTuple& t : released.buffer(table)->log()) {
+      rows.push_back(t.row);
+    }
+    return rows;
+  };
+  std::vector<Row> orders = rows_of("orders");
+  orders[17][2] = Value(int64_t{50});
+  StreamSource src;
+  src.AddTable("orders", db.catalog.GetSchema("orders"), std::move(orders));
+  src.AddTable("customer", db.catalog.GetSchema("customer"),
+               rows_of("customer"));
+
+  RunOutput row = RunPump(src, g, paces, /*columnar=*/false, 1);
+  RunOutput col = RunPump(src, g, paces, /*columnar=*/true, 1);
+  auto counters = obs::Registry().Snapshot().counters;
+  // The orders leaf fell back to rows; the customer leaf still lifted.
+  EXPECT_GT(counters["exec.path.row_batches"], 0.0);
+  EXPECT_GT(counters["exec.path.columnar_batches"], 0.0);
+  EXPECT_EQ(col.fingerprint, row.fingerprint);
+  ASSERT_EQ(col.results.size(), row.results.size());
+  for (size_t q = 0; q < row.results.size(); ++q) {
+    EXPECT_FALSE(row.results[q].empty()) << "query " << q;
+    EXPECT_TRUE(ExactSameResults(col.results[q], row.results[q]))
+        << "query " << q;
+  }
 }
 
 }  // namespace

@@ -115,6 +115,19 @@ TEST(QuerySetTest, ToIdsRoundTrip) {
   EXPECT_EQ(QuerySet::FromIds(ids).ToIds(), ids);
 }
 
+TEST(QuerySetTest, ForEachVisitsToIdsIncludingSpilledIds) {
+  for (const std::vector<QueryId>& ids :
+       {std::vector<QueryId>{}, std::vector<QueryId>{0, 5, 63},
+        std::vector<QueryId>{1, 63, 64, 127, 128, 700},
+        std::vector<QueryId>{64}}) {
+    QuerySet s = QuerySet::FromIds(ids);
+    std::vector<QueryId> seen;
+    s.ForEach([&seen](QueryId q) { seen.push_back(q); });
+    EXPECT_EQ(seen, s.ToIds());
+    EXPECT_EQ(seen, ids);
+  }
+}
+
 TEST(QuerySetTest, HighestBit) {
   QuerySet s = QuerySet::Single(63);
   EXPECT_TRUE(s.Contains(63));

@@ -167,6 +167,44 @@ TEST_F(InnerJoinFixture, MultiplicityProducts) {
   EXPECT_EQ(out[0].weight, 2);
 }
 
+TEST(InnerJoinEmitTest, MixedMultiplicitiesEmitOnePerWeightAscending) {
+  Schema ls({{"lk", DataType::kInt64}, {"lv", DataType::kInt64}});
+  Schema rs({{"rk", DataType::kInt64}, {"rv", DataType::kInt64}});
+  QuerySet qs = QuerySet::FromIds({0, 1, 2});
+  PlanNodePtr node = PlanNode::MakeJoin(
+      PlanNode::MakeSubplanInput(0, ls, qs),
+      PlanNode::MakeSubplanInput(1, rs, qs), {"lk"}, {"rk"},
+      JoinType::kInner, qs);
+  HashJoinOp op(node.get(), ls, rs);
+  // One right entry holding two copies for q0 and q2, one for q1.
+  op.Process(1, {T(R({1, 20}), {0, 1, 2}), T(R({1, 20}), {0, 2})});
+
+  DeltaBatch out = op.Process(0, {T(R({1, 10}), {0, 1, 2})});
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].row, R({1, 10, 1, 20}));
+  EXPECT_EQ(out[0].qset, QuerySet::Single(1));
+  EXPECT_EQ(out[0].weight, 1);
+  EXPECT_EQ(out[1].row, R({1, 10, 1, 20}));
+  EXPECT_EQ(out[1].qset, QuerySet::FromIds({0, 2}));
+  EXPECT_EQ(out[1].weight, 2);
+
+  // A delete probe flips the signs, so ascending order now puts the
+  // doubled queries first.
+  out = op.Process(0, {T(R({1, 10}), {0, 1, 2}, -1)});
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].qset, QuerySet::FromIds({0, 2}));
+  EXPECT_EQ(out[0].weight, -2);
+  EXPECT_EQ(out[1].qset, QuerySet::Single(1));
+  EXPECT_EQ(out[1].weight, -1);
+
+  // Equal contributions (the common case) still emit one tuple.
+  out = op.Process(0, {T(R({1, 11}), {0, 2})});
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].row, R({1, 11, 1, 20}));
+  EXPECT_EQ(out[0].qset, QuerySet::FromIds({0, 2}));
+  EXPECT_EQ(out[0].weight, 2);
+}
+
 // --- Semi / anti join ---
 
 class SemiAntiFixture : public ::testing::Test {

@@ -681,6 +681,7 @@ TEST(DeltaBufferFaultTest, ResetDisarmsInjectedFault) {
   ASSERT_TRUE(buf.HasFault());
   buf.Reset();
   EXPECT_FALSE(buf.HasFault());
+  c = buf.RegisterConsumer();  // Reset() dropped the registration too
   buf.Append(DeltaTuple({Value(int64_t{5})}, QuerySet::Single(0), 1));
   EXPECT_EQ(buf.ConsumeNew(c).value().size(), 1u);
 }
@@ -691,6 +692,92 @@ TEST(DeltaBufferFaultTest, InjectZeroTimesIsNoop) {
   buf.InjectFault(Status::Unavailable("x"), 0);
   EXPECT_FALSE(buf.HasFault());
   EXPECT_TRUE(buf.ConsumeNew(c).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Reusing one source across windows: StreamSource::Reset() must leave it as
+// fresh as a new source, consumer registrations included.
+// ---------------------------------------------------------------------------
+
+SubplanGraph OrdersSumGraph(const Catalog& catalog) {
+  QuerySet q0 = QuerySet::Single(0);
+  PlanNodePtr scan = PlanNode::MakeScan(catalog, "orders", q0);
+  PlanNodePtr agg = PlanNode::MakeAggregate(
+      scan, {"o_custkey"}, {SumAgg(Col("o_amount"), "total")}, q0);
+  return SubplanGraph::Build({QueryPlan{0, "q0", agg}});
+}
+
+TEST(SourceReuseTest, ResetSourceTrimsBaseBuffersAtWindowEnd) {
+  TestDb db(/*n_orders=*/60, /*n_customers=*/6);
+  SubplanGraph g = OrdersSumGraph(db.catalog);
+  for (int window = 0; window < 3; ++window) {
+    db.source.Reset();
+    PaceExecutor exec(&g, &db.source);
+    ASSERT_TRUE(exec.Run({4}).ok()) << "window " << window;
+    const DeltaBuffer* orders = db.source.buffer("orders");
+    // Only this window's consumer is registered, and it read everything,
+    // so the boundary trim reclaimed the whole base log.
+    EXPECT_EQ(orders->num_consumers(), 1) << "window " << window;
+    EXPECT_EQ(orders->size(), 60) << "window " << window;
+    EXPECT_EQ(orders->retained_size(), 0) << "window " << window;
+  }
+}
+
+TEST(SourceReuseTest, IdenticalWindowsOverResetSourceHaveEqualFingerprints) {
+  TestDb db(/*n_orders=*/60, /*n_customers=*/6);
+  SubplanGraph g = OrdersSumGraph(db.catalog);
+  std::vector<std::string> fingerprints;
+  for (int window = 0; window < 2; ++window) {
+    db.source.Reset();
+    PaceExecutor exec(&g, &db.source);
+    ASSERT_TRUE(exec.Run({4}).ok()) << "window " << window;
+    fingerprints.push_back(exec.StateFingerprint());
+  }
+  EXPECT_EQ(fingerprints[0], fingerprints[1]);
+}
+
+TEST(SourceReuseTest, CheckpointAfterResetRecoversIntoFreshSource) {
+  TestDb db(/*n_orders=*/60, /*n_customers=*/6);
+  SubplanGraph g = OrdersSumGraph(db.catalog);
+  const PaceConfig paces = {4};
+  {
+    PaceExecutor first(&g, &db.source);
+    ASSERT_TRUE(first.Run(paces).ok());
+  }
+  db.source.Reset();
+
+  // The second window over the reused source checkpoints at step 2 and
+  // is killed after step 3.
+  recovery::MemoryCheckpointStore store;
+  recovery::CheckpointManagerOptions co;
+  co.epoch_len = 2;
+  co.overhead_budget = 0;
+  recovery::CheckpointManager mgr(&store, co);
+  {
+    PaceExecutor doomed(&g, &db.source);
+    doomed.set_after_step_hook([&](int64_t step) -> Status {
+      ISHARE_RETURN_NOT_OK(mgr.OnStepComplete(step, doomed));
+      return step == 3 ? Status::Internal("kill") : Status::OK();
+    });
+    ASSERT_FALSE(doomed.Run(paces).ok());
+  }
+
+  StreamSource fresh;
+  ASSERT_TRUE(db.source.CloneTablesInto(&fresh).ok());
+  PaceExecutor recovered(&g, &fresh);
+  Result<int64_t> step = mgr.RecoverLatest(&recovered);
+  ASSERT_TRUE(step.ok()) << step.status().ToString();
+  EXPECT_EQ(*step, 2);
+  EXPECT_EQ(mgr.stats().torn_discarded, 0);
+  ASSERT_TRUE(recovered.ResumeWindow().ok());
+
+  StreamSource clean;
+  ASSERT_TRUE(db.source.CloneTablesInto(&clean).ok());
+  PaceExecutor uninterrupted(&g, &clean);
+  ASSERT_TRUE(uninterrupted.Run(paces).ok());
+  EXPECT_EQ(recovered.StateFingerprint(), uninterrupted.StateFingerprint());
+  EXPECT_EQ(MaterializeResult(*recovered.query_output(0), 0),
+            MaterializeResult(*uninterrupted.query_output(0), 0));
 }
 
 // A window whose base buffer throws a few transient faults still completes

@@ -363,5 +363,33 @@ TEST(SchedEquivalence, AdaptiveParallelRunsAreBitExact) {
   }
 }
 
+TEST(SchedEquivalence, AdaptiveParallelRunPublishesStepWaves) {
+  // The level-parallel adaptive path counts its dispatched levels in
+  // sched.step.waves, as the pace executor counts its waves: one per
+  // level that ran, which is exactly when the after-wave hook fires.
+  TpchDb db(TpchScale{0.001, 13});
+  MqoOptimizer mqo(&db.catalog);
+  std::vector<QueryPlan> qs = {TpchQuery(db.catalog, 3, 0),
+                               TpchQuery(db.catalog, 5, 1)};
+  SubplanGraph g = SubplanGraph::Build(mqo.Merge(qs));
+  PaceConfig paces(g.num_subplans(), 3);
+  obs::Registry().Reset();
+  obs::GlobalTracer().Reset();
+  CostEstimator est(&g, &db.catalog);
+  StreamSource src;
+  CHECK(db.source.CloneTablesInto(&src).ok());
+  AdaptiveExecutor exec(&est, &src, {1e18, 1e18}, AdaptivePolicy(),
+                        ThreadedOptions(2));
+  int64_t hooks = 0;
+  exec.set_after_wave_hook([&hooks](int64_t, int) {
+    ++hooks;
+    return Status::OK();
+  });
+  ASSERT_TRUE(exec.Run(paces).ok());
+  EXPECT_GT(hooks, 0);
+  EXPECT_EQ(obs::Registry().Snapshot().counters["sched.step.waves"],
+            static_cast<double>(hooks));
+}
+
 }  // namespace
 }  // namespace ishare

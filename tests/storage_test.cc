@@ -48,9 +48,14 @@ TEST(DeltaBufferTest, ResetClearsLogAndOffsets) {
   (void)buf.ConsumeNew(c);
   buf.Reset();
   EXPECT_EQ(buf.size(), 0);
-  EXPECT_EQ(buf.Pending(c).value(), 0);
+  // A reset buffer is fresh: no registration survives, and the next
+  // executor's consumer starts over at id 0, offset 0.
+  EXPECT_EQ(buf.num_consumers(), 0);
+  EXPECT_EQ(buf.Pending(c).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(buf.RegisterConsumer(), 0);
+  EXPECT_EQ(buf.Pending(0).value(), 0);
   buf.Append(DeltaTuple({Value(int64_t{2})}, QuerySet::Single(0), 1));
-  EXPECT_EQ(buf.ConsumeNew(c).value().size(), 1u);
+  EXPECT_EQ(buf.ConsumeNew(0).value().size(), 1u);
 }
 
 // Pins the single-writer / multi-reader contract in delta_buffer.h: while
